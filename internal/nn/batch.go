@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 )
 
 // This file implements the batched minibatch engine (DESIGN.md §3): a
@@ -99,8 +100,12 @@ func (m *MLP) batchForward(x []float64, b int, s *Scratch, serial bool) []float6
 		panic(fmt.Sprintf("nn: batch input size %d, want %d×%d", len(x), b, in))
 	}
 	copy(s.acts[0][:b*in], x)
-	for i, l := range m.Layers {
-		l.batchForward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out], b, serial)
+	if b == 1 && vecShared(m.maxLayerWork(), serial) {
+		forwardVec(m.Layers, s.acts)
+	} else {
+		for i, l := range m.Layers {
+			l.batchForward(s.acts[i][:b*l.In], s.acts[i+1][:b*l.Out], b, serial)
+		}
 	}
 	return s.acts[len(m.Layers)][:b*s.sizes[len(s.sizes)-1]]
 }
@@ -139,8 +144,8 @@ func (m *MLP) batchBackward(dOut []float64, b int, s *Scratch, g *Grads, serial 
 }
 
 // BatchForward computes y = act(x·Wᵀ + bias) for a row-major batch x of
-// shape [b][In] into y of shape [b][Out]. It retains no references to its
-// arguments. Equivalent to b Forward calls, bitwise.
+// shape [b][In] into y of shape [b][Out]. It neither reads nor writes its
+// arguments after it returns. Equivalent to b Forward calls, bitwise.
 func (d *Dense) BatchForward(x, y []float64, b int) {
 	d.batchForward(x, y, b, false)
 }
@@ -151,6 +156,14 @@ func (d *Dense) batchForward(x, y []float64, b int, serial bool) {
 	}
 	if len(y) != b*d.Out {
 		panic(fmt.Sprintf("nn: batch output size %d, want %d×%d", len(y), b, d.Out))
+	}
+	if b == 1 {
+		if vecShared(d.In*d.Out, serial) {
+			forwardVec([]*Dense{d}, [][]float64{x, y})
+		} else {
+			d.forwardRows(x, y, 0, d.Out)
+		}
+		return
 	}
 	if b*d.In*d.Out < parallelThreshold {
 		d.forwardBlock(x, y, 0, b, 0, d.Out)
@@ -175,6 +188,122 @@ func (d *Dense) batchForward(x, y []float64, b int, serial bool) {
 			d.forwardBlock(x, y, b0, min(b0+tileRows, b), o0, min(o0+tileOuts, d.Out))
 		}
 	})
+}
+
+// vecTileWork is the multiply-add count of one batch-1 work tile: small
+// enough that a helper goroutine which starts late still finds tiles
+// left and that every layer of the GEANT network splits, large enough
+// that claiming a tile costs nothing measurable.
+const vecTileWork = 1 << 12
+
+// vecShared reports whether a batch-1 pass whose largest layer costs work
+// multiply-adds is shared with helper goroutines; otherwise it runs
+// inline on the caller.
+func vecShared(work int, serial bool) bool {
+	return !serial && work >= parallelThreshold && runtime.GOMAXPROCS(0) > 1
+}
+
+// maxLayerWork returns the multiply-add count of the network's largest
+// layer at batch size 1.
+func (m *MLP) maxLayerWork() int {
+	work := 0
+	for _, l := range m.Layers {
+		work = max(work, l.In*l.Out)
+	}
+	return work
+}
+
+// vecJob is one batch-1 forward pass through layers, shared by the caller
+// and GOMAXPROCS-1 helper goroutines: acts[l][:layers[l].In] is layer l's
+// input and acts[l+1] its output. Each layer is cut into row tiles that
+// the goroutines claim one at a time, so a helper that wakes late (tens
+// of µs on an idle vCPU) joins at whatever layer is open and takes fewer
+// tiles instead of stalling the caller. A helper spawned per pass rather
+// than per layer is awake for every layer after the first. Every output
+// row is computed whole by one goroutine, so any split gives bitwise the
+// same outputs.
+type vecJob struct {
+	layers []*Dense
+	acts   [][]float64
+	stages []vecStage
+	open   atomic.Int64 // layers below open are complete; open is being claimed
+}
+
+type vecStage struct {
+	rows, tiles   int
+	next, pending atomic.Int64
+}
+
+// forwardVec runs the shared batch-1 pass. It returns once every tile is
+// written; a helper that starts after that finds no tile left in any
+// layer and exits without reading or writing an activation.
+func forwardVec(layers []*Dense, acts [][]float64) {
+	j := &vecJob{layers: layers, acts: acts, stages: make([]vecStage, len(layers))}
+	maxTiles := 0
+	for l, d := range layers {
+		st := &j.stages[l]
+		st.rows = max(4, (vecTileWork/d.In)&^3)
+		st.tiles = (d.Out + st.rows - 1) / st.rows
+		st.pending.Store(int64(st.tiles))
+		maxTiles = max(maxTiles, st.tiles)
+	}
+	for h := min(runtime.GOMAXPROCS(0), maxTiles) - 1; h > 0; h-- {
+		go j.help()
+	}
+	for l := range layers {
+		j.open.Store(int64(l))
+		j.claim(l)
+		// Bounded by one tile: only tiles already claimed are pending.
+		for j.stages[l].pending.Load() != 0 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// help works through the layers in order, waiting for each to open; the
+// wait is bounded by the last tile of the layer before it.
+func (j *vecJob) help() {
+	for l := range j.layers {
+		for int(j.open.Load()) < l {
+			runtime.Gosched()
+		}
+		j.claim(l)
+	}
+}
+
+// claim computes tiles of layer l until none is left.
+func (j *vecJob) claim(l int) {
+	d, st := j.layers[l], &j.stages[l]
+	x, y := j.acts[l][:d.In], j.acts[l+1]
+	for {
+		t := int(st.next.Add(1) - 1)
+		if t >= st.tiles {
+			return
+		}
+		o0 := t * st.rows
+		d.forwardRows(x, y, o0, min(o0+st.rows, d.Out))
+		st.pending.Add(-1)
+	}
+}
+
+// forwardRows fills y[o0:o1] for the single input row x, four output
+// rows per sweep so each load of x serves four dot-product chains. The
+// Out mod 4 tail falls back to dot(). Every output is bitwise
+// act(dot(W[o], x) + B[o]).
+func (d *Dense) forwardRows(x, y []float64, o0, o1 int) {
+	in := d.In
+	o := o0
+	for ; o+4 <= o1; o += 4 {
+		w := d.W[o*in : (o+4)*in]
+		s0, s1, s2, s3 := dot4(w[:in], w[in:2*in], w[2*in:3*in], w[3*in:], x)
+		y[o] = d.Act.apply(s0 + d.B[o])
+		y[o+1] = d.Act.apply(s1 + d.B[o+1])
+		y[o+2] = d.Act.apply(s2 + d.B[o+2])
+		y[o+3] = d.Act.apply(s3 + d.B[o+3])
+	}
+	for ; o < o1; o++ {
+		y[o] = d.Act.apply(dot(d.W[o*in:(o+1)*in], x) + d.B[o])
+	}
 }
 
 // forwardBlock fills y for batch rows [b0,b1) × output rows [o0,o1) using
@@ -362,6 +491,35 @@ func dot2x2(w0, w1, x0, x1 []float64) (s00, s01, s10, s11 float64) {
 		s01 += a * q
 		s10 += b2 * p
 		s11 += b2 * q
+	}
+	return
+}
+
+// dot4 computes the four dot products {w0,w1,w2,w3}·x in one sweep over
+// x. Each accumulator follows dot()'s 4-wide grouping, so every result is
+// bitwise identical to dot(wk, x); the four chains are independent and
+// share every load of x. The weight rows are resliced to len(x) so their
+// loads need no bounds checks.
+func dot4(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
+	n := len(x)
+	w0 = w0[:n]
+	w1 = w1[:n]
+	w2 = w2[:n]
+	w3 = w3[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		p0, p1, p2, p3 := x[i], x[i+1], x[i+2], x[i+3]
+		s0 += w0[i]*p0 + w0[i+1]*p1 + w0[i+2]*p2 + w0[i+3]*p3
+		s1 += w1[i]*p0 + w1[i+1]*p1 + w1[i+2]*p2 + w1[i+3]*p3
+		s2 += w2[i]*p0 + w2[i+1]*p1 + w2[i+2]*p2 + w2[i+3]*p3
+		s3 += w3[i]*p0 + w3[i+1]*p1 + w3[i+2]*p2 + w3[i+3]*p3
+	}
+	for ; i < n; i++ {
+		p := x[i]
+		s0 += w0[i] * p
+		s1 += w1[i] * p
+		s2 += w2[i] * p
+		s3 += w3[i] * p
 	}
 	return
 }

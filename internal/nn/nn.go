@@ -178,6 +178,8 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
+// parallelFor splits [0,n) into at most GOMAXPROCS equal chunks and runs
+// f on each concurrently; the last chunk runs on the calling goroutine.
 func parallelFor(n int, f func(lo, hi int)) {
 	nsh := runtime.GOMAXPROCS(0)
 	if nsh > n {
@@ -189,17 +191,15 @@ func parallelFor(n int, f func(lo, hi int)) {
 	}
 	chunk := (n + nsh - 1) / nsh
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			f(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	f(lo, n)
 	wg.Wait()
 }
 
