@@ -857,6 +857,11 @@ func LoadModel(ps *te.PathSet, data []byte) (*Model, error) {
 	if out != ps.NumPaths() {
 		return nil, fmt.Errorf("figret: model outputs %d paths, topology has %d", out, ps.NumPaths())
 	}
+	// A history length that disagrees with the input width would load
+	// and then panic on the first Predict.
+	if in := j.Net.Layers[0].In; j.Cfg.H < 1 || in != j.Cfg.H*ps.Pairs.Count() {
+		return nil, fmt.Errorf("figret: model input width %d does not match H %d × %d pairs", in, j.Cfg.H, ps.Pairs.Count())
+	}
 	if j.LossScale == 0 {
 		j.LossScale = 1
 	}

@@ -359,6 +359,19 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if _, err := LoadModel(other, data); err == nil {
 		t.Error("model loaded onto wrong topology")
 	}
+	// A history length that disagrees with the input width is refused
+	// rather than left to panic in Predict.
+	for _, h := range []int{4, 0} {
+		bad := *m
+		bad.Cfg.H = h
+		tampered, err := bad.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadModel(ps, tampered); err == nil {
+			t.Errorf("model with cfg.H %d loaded onto an H 3 network", h)
+		}
+	}
 }
 
 func TestTrainDeterminism(t *testing.T) {

@@ -93,10 +93,8 @@ func BenchmarkServeDecision(b *testing.B) {
 // per transport:
 //
 //   - json: the baseline — sequential JSON round trips over HTTP.
-//   - binhttp: the content-negotiated binary codec on the same HTTP
-//     request/response shape (codec win without pipelining).
 //   - wire: the upgraded persistent stream — pipelined, delta-encoded
-//     decisions under the adaptive window (the full data plane).
+//     decisions at a fixed depth (the full data plane).
 //
 // Each reports decisions/s; cmd/benchjson carries the metric into
 // BENCH_scenarios.json. The model is small (H 4, one hidden layer of 16
@@ -194,11 +192,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.Run("json-telemetry", func(b *testing.B) {
 		tel := NewTelemetry(obs.NewRegistry())
 		runHTTP(b, NewClient(startSrv(b, tel).URL))
-	})
-	b.Run("binhttp", func(b *testing.B) {
-		c := NewClient(startSrv(b, nil).URL)
-		c.Binary = true
-		runHTTP(b, c)
 	})
 	b.Run("wire", func(b *testing.B) { runWire(b, startSrv(b, nil), BinClientOptions{}) })
 	b.Run("wire-telemetry", func(b *testing.B) {

@@ -22,8 +22,6 @@ type BinClientOptions struct {
 	// negotiates them: decisions arrive as changed-pairs deltas whenever
 	// that is smaller than the full vector).
 	NoDelta bool
-	// Window tunes the adaptive in-flight window used by Stream.
-	Window WindowOptions
 	// DialTimeout bounds one TCP connect + upgrade handshake (default
 	// 5s).
 	DialTimeout time.Duration
@@ -35,9 +33,9 @@ type BinClientOptions struct {
 	RedialBackoff time.Duration
 	// ReadTimeout bounds one blocking response read (default 30s).
 	ReadTimeout time.Duration
-	// Telemetry, when non-nil, exports the stream's adaptive state
-	// (window, RTT estimator, congestion/redial/resync counters, the
-	// delta-vs-full mix) through the obs registry. Purely observational.
+	// Telemetry, when non-nil, exports the stream's per-request RTTs,
+	// redial/resync counters and delta-vs-full mix through the obs
+	// registry. Purely observational.
 	Telemetry *StreamTelemetry
 }
 
@@ -60,10 +58,10 @@ func (o BinClientOptions) withDefaults() BinClientOptions {
 // BinClient drives the binary wire protocol over one persistent
 // upgraded connection: an HTTP Upgrade handshake on the JSON API's own
 // listener, then length-prefixed wire frames both ways. Requests
-// pipeline (Stream keeps an adaptive, RTT-estimated CUBIC-style window
-// of them in flight), responses arrive strictly in request order, and
-// decisions may be delta-encoded against the previous one, with
-// automatic full-decision resync.
+// pipeline (Stream keeps up to streamDepth of them in flight),
+// responses arrive strictly in request order, and decisions may be
+// delta-encoded against the previous one, with automatic full-decision
+// resync.
 //
 // A broken connection redials with exponential backoff (and a fresh
 // delta base — reconnecting is the coarse resync). Snapshot ingest is
@@ -390,10 +388,28 @@ func (c *BinClient) writeFlush(frame []byte) error {
 	return c.bw.Flush()
 }
 
-// toRoutingResponse copies a wire decision into the JSON surface's
-// response type, so both paths hand callers the same shape.
-func (c *BinClient) toRoutingResponse(d *wire.Decision) *RoutingResponse {
-	return wireToRouting(c.topo, d)
+// wireToRouting converts a decoded wire decision into the JSON
+// surface's response type, so both transports hand callers the same
+// shape. Ratios are copied (wire decode buffers are reused); a zero
+// AtUnixNanos maps back to the zero time so warming responses match the
+// JSON path field for field.
+func wireToRouting(topo string, d *wire.Decision) *RoutingResponse {
+	out := &RoutingResponse{
+		Topology:     topo,
+		Seq:          d.Seq,
+		Snapshot:     d.Snapshot,
+		Version:      d.Version,
+		Rerouted:     d.Rerouted,
+		ChurnLimited: d.ChurnLimited,
+		Warming:      d.Warming,
+	}
+	if len(d.Ratios) > 0 {
+		out.Ratios = append([]float64(nil), d.Ratios...)
+	}
+	if d.AtUnixNanos != 0 {
+		out.At = time.Unix(0, d.AtUnixNanos)
+	}
+	return out
 }
 
 // PostSnapshot ingests one demand snapshot synchronously over the
@@ -408,7 +424,7 @@ func (c *BinClient) PostSnapshot(demand []float64) (*RoutingResponse, error) {
 	if d == nil {
 		return nil, fmt.Errorf("serve: bin client: ack for a sync snapshot")
 	}
-	return c.toRoutingResponse(d), nil
+	return wireToRouting(c.topo, d), nil
 }
 
 // PostSnapshotAsync ingests one snapshot without waiting for a
@@ -432,7 +448,7 @@ func (c *BinClient) Routing() (*RoutingResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.toRoutingResponse(d), nil
+	return wireToRouting(c.topo, d), nil
 }
 
 // ReportFailures installs the failed-link set (empty clears) and
@@ -445,8 +461,17 @@ func (c *BinClient) ReportFailures(links [][2]int) (*RoutingResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.toRoutingResponse(d), nil
+	return wireToRouting(c.topo, d), nil
 }
+
+// streamDepth is how many requests Stream keeps unanswered on the
+// connection. It is a constant: on the GEANT serve benchmarks the
+// pipeline sits at this depth with no response slow enough to signal
+// congestion (DESIGN.md §11), so there is nothing for an adaptive window
+// to do. Should the stream ever need backpressure, the server ought to
+// grant credit explicitly rather than have the client infer congestion
+// from RTTs.
+const streamDepth = 256
 
 // StreamStats summarizes one pipelined Stream run.
 type StreamStats struct {
@@ -459,22 +484,23 @@ type StreamStats struct {
 	// MeanRTTMicros / P50RTTMicros / P99RTTMicros summarize per-request
 	// round-trip times.
 	MeanRTTMicros, P50RTTMicros, P99RTTMicros float64
-	// MinWindow / MaxWindow / FinalWindow trace the adaptive in-flight
-	// window; CongestionEvents counts multiplicative backoffs.
-	MinWindow, MaxWindow, FinalWindow int
-	CongestionEvents                  int
+	// MaxWindow is the peak number of requests in flight (sent and not
+	// yet answered); it never exceeds streamDepth.
+	MaxWindow int
+	// CongestionEvents is always 0: the fixed-depth stream never backs
+	// off. The field stays because the benchmark harness (perfbench)
+	// reports it as its serve.congestion_events layer.
+	CongestionEvents int
 	// BytesSent / BytesReceived are wire-level frame byte counts.
 	BytesSent, BytesReceived int64
 }
 
-// Stream pipelines n snapshot ingests through the connection under the
-// adaptive window: requests are sent while fewer than the current
-// window are unanswered, responses are consumed concurrently in request
-// order, each response's RTT feeds the estimator, and an RTT above the
-// current RTO backs the window off multiplicatively (at most once per
-// smoothed RTT — one congestion episode is one event). demand(i) must
-// return the i'th snapshot; onDecision, when non-nil, observes every
-// decision in order (the pointee is reused — copy to retain).
+// Stream pipelines n snapshot ingests through the connection: requests
+// are sent while fewer than streamDepth are unanswered, and responses
+// are consumed concurrently in request order, each timed against its
+// send. demand(i) must return the i'th snapshot; onDecision, when
+// non-nil, observes every decision in order (the pointee is reused —
+// copy to retain).
 //
 // Stream does not redial mid-run: any transport fault aborts with an
 // error, so a load measurement is never silently split across
@@ -494,16 +520,13 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 	if err := c.ensureConn(); err != nil {
 		return nil, err
 	}
-	win := newCubicWindow(c.opt.Window)
-	est := rttEstimator{MinRTO: c.opt.Window.MinRTO, MaxRTO: c.opt.Window.MaxRTO}
-	stats := &StreamStats{MinWindow: win.size(), MaxWindow: win.size()}
+	stats := &StreamStats{}
 
 	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		done     int
-		rdErr    error
-		lastCong time.Time
+		mu    sync.Mutex
+		cond  = sync.NewCond(&mu)
+		done  int
+		rdErr error
 	)
 	sendTimes := make([]time.Time, n)
 	rtts := make([]time.Duration, 0, n)
@@ -524,25 +547,11 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 				return
 			}
 			sample := now.Sub(sendTimes[i])
-			rtts = append(rtts, sample)
-			est.observe(sample)
-			if sample > est.rto() && now.Sub(lastCong) > est.sRTT() {
-				win.onCongestion(now)
-				lastCong = now
-				stats.CongestionEvents++
-				c.tel.onCongestion()
-			} else {
-				win.onAck(now)
-			}
-			c.tel.observeRTT(sample, &est, win.size())
-			if w := win.size(); w < stats.MinWindow {
-				stats.MinWindow = w
-			} else if w > stats.MaxWindow {
-				stats.MaxWindow = w
-			}
 			done++
 			cond.Signal()
 			mu.Unlock()
+			rtts = append(rtts, sample)
+			c.tel.observeRTT(sample)
 			if d == nil {
 				stats.Acks++
 			} else {
@@ -558,8 +567,8 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 	sendErr := error(nil)
 	for i := 0; i < n && sendErr == nil; i++ {
 		mu.Lock()
-		for i-done >= win.size() && rdErr == nil {
-			// The window is full: push buffered requests to the server
+		for i-done >= streamDepth && rdErr == nil {
+			// The pipeline is full: push buffered requests to the server
 			// before blocking on its responses.
 			mu.Unlock()
 			if err := c.bw.Flush(); err != nil {
@@ -569,19 +578,17 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 			if sendErr != nil {
 				break
 			}
-			if i-done >= win.size() && rdErr == nil {
+			if i-done >= streamDepth && rdErr == nil {
 				cond.Wait()
 			}
 		}
-		if rdErr != nil {
+		if rdErr != nil || sendErr != nil {
 			mu.Unlock()
 			break
 		}
 		sendTimes[i] = time.Now()
+		stats.MaxWindow = max(stats.MaxWindow, i+1-done)
 		mu.Unlock()
-		if sendErr != nil {
-			break
-		}
 		frame := c.enc.Snapshot(&wire.Snapshot{Demand: demand(i), Async: async})
 		stats.BytesSent += int64(len(frame))
 		if _, err := c.bw.Write(frame); err != nil {
@@ -597,7 +604,6 @@ func (c *BinClient) stream(n int, demand func(i int) []float64, onDecision func(
 	}
 	wg.Wait()
 	stats.Elapsed = time.Since(start)
-	stats.FinalWindow = win.size()
 	stats.BytesReceived = c.bytesIn - bytesInBase
 
 	if rdErr != nil || sendErr != nil {

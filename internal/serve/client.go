@@ -8,8 +8,6 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"figret/internal/wire"
 )
 
 // defaultHTTPClient is the shared transport for clients without an
@@ -41,11 +39,6 @@ type Client struct {
 	// HTTP is the transport (a shared client with sane timeouts and a
 	// keep-alive pool when nil).
 	HTTP *http.Client
-	// Binary switches the snapshot and routing hot paths to the
-	// content-negotiated wire codec over plain HTTP requests (the same
-	// endpoints; bodies and responses are binary frames instead of
-	// JSON). Checkpoint, metrics and topology management stay JSON.
-	Binary bool
 }
 
 // NewClient returns a client for the server at baseURL.
@@ -96,8 +89,7 @@ func (c *Client) do(method, path string, body, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-// apiError decodes the server's JSON error body (errors are JSON on
-// every surface, binary included).
+// apiError decodes the server's JSON error body.
 func apiError(method, path string, status int, body []byte) error {
 	var e struct {
 		Error string `json:"error"`
@@ -106,80 +98,6 @@ func apiError(method, path string, status int, body []byte) error {
 		return fmt.Errorf("serve: %s %s: %s (status %d)", method, path, e.Error, status)
 	}
 	return fmt.Errorf("serve: %s %s: status %d", method, path, status)
-}
-
-// doWire issues one content-negotiated binary request: build (when
-// non-nil) borrows a pooled encoder for the request frame, and the
-// response body is decoded as a full decision frame. A 202 (async ack)
-// returns (nil, nil).
-func (c *Client) doWire(method, path, topo string, build func(e *wire.Encoder) []byte) (*RoutingResponse, error) {
-	e := wireEncPool.Get().(*wire.Encoder)
-	var rd io.Reader
-	if build != nil {
-		rd = bytes.NewReader(build(e))
-	}
-	req, err := http.NewRequest(method, c.BaseURL+path, rd)
-	if err != nil {
-		wireEncPool.Put(e)
-		return nil, err
-	}
-	if build != nil {
-		req.Header.Set("Content-Type", wire.MediaType)
-	}
-	req.Header.Set("Accept", wire.MediaType)
-	resp, err := c.http().Do(req)
-	// Do has fully consumed the request body (a bytes.Reader) by the
-	// time it returns, so the encoder's buffer is free again.
-	wireEncPool.Put(e)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 400 {
-		return nil, apiError(method, path, resp.StatusCode, data)
-	}
-	if resp.StatusCode == http.StatusAccepted {
-		return nil, nil
-	}
-	t, payload, err := wire.DecodeFrame(data)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s %s: %w", method, path, err)
-	}
-	if t != wire.TDecision {
-		return nil, fmt.Errorf("serve: %s %s: unexpected %s frame", method, path, t)
-	}
-	var d wire.Decision
-	if err := wire.DecodeDecision(payload, &d); err != nil {
-		return nil, fmt.Errorf("serve: %s %s: %w", method, path, err)
-	}
-	return wireToRouting(topo, &d), nil
-}
-
-// wireToRouting converts a decoded wire decision into the JSON
-// surface's response type. Ratios are copied (wire decode buffers are
-// reused); a zero AtUnixNanos maps back to the zero time so warming
-// responses match the JSON path field for field.
-func wireToRouting(topo string, d *wire.Decision) *RoutingResponse {
-	out := &RoutingResponse{
-		Topology:     topo,
-		Seq:          d.Seq,
-		Snapshot:     d.Snapshot,
-		Version:      d.Version,
-		Rerouted:     d.Rerouted,
-		ChurnLimited: d.ChurnLimited,
-		Warming:      d.Warming,
-	}
-	if len(d.Ratios) > 0 {
-		out.Ratios = append([]float64(nil), d.Ratios...)
-	}
-	if d.AtUnixNanos != 0 {
-		out.At = time.Unix(0, d.AtUnixNanos)
-	}
-	return out
 }
 
 // Topologies lists served topology names.
@@ -194,17 +112,6 @@ func (c *Client) Topologies() ([]string, error) {
 // PostSnapshot ingests one demand snapshot synchronously and returns the
 // decision computed from the window ending at it.
 func (c *Client) PostSnapshot(topo string, demand []float64) (*RoutingResponse, error) {
-	if c.Binary {
-		out, err := c.doWire(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", topo,
-			func(e *wire.Encoder) []byte { return e.Snapshot(&wire.Snapshot{Demand: demand}) })
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			return nil, fmt.Errorf("serve: sync snapshot answered with an ack")
-		}
-		return out, nil
-	}
 	var out RoutingResponse
 	err := c.do(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", SnapshotRequest{Demand: demand}, &out)
 	if err != nil {
@@ -216,19 +123,11 @@ func (c *Client) PostSnapshot(topo string, demand []float64) (*RoutingResponse, 
 // PostSnapshotAsync ingests one demand snapshot without waiting for the
 // decision.
 func (c *Client) PostSnapshotAsync(topo string, demand []float64) error {
-	if c.Binary {
-		_, err := c.doWire(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", topo,
-			func(e *wire.Encoder) []byte { return e.Snapshot(&wire.Snapshot{Demand: demand, Async: true}) })
-		return err
-	}
 	return c.do(http.MethodPost, "/v1/topologies/"+topo+"/snapshots", SnapshotRequest{Demand: demand, Async: true}, nil)
 }
 
 // Routing returns the topology's currently published decision.
 func (c *Client) Routing(topo string) (*RoutingResponse, error) {
-	if c.Binary {
-		return c.doWire(http.MethodGet, "/v1/topologies/"+topo+"/routing", topo, nil)
-	}
 	var out RoutingResponse
 	err := c.do(http.MethodGet, "/v1/topologies/"+topo+"/routing", nil, &out)
 	if err != nil {

@@ -24,8 +24,8 @@ type LoadOptions struct {
 
 // LoadResult summarizes one load-generation run.
 type LoadResult struct {
-	// Stream carries the pipelining measurements (RTT quantiles,
-	// adaptive-window trace, byte counts).
+	// Stream carries the pipelining measurements (RTT quantiles, peak
+	// in-flight requests, byte counts).
 	Stream StreamStats
 	// Bin carries the transport counters (delta vs full decisions,
 	// resyncs, redials).
@@ -40,7 +40,7 @@ type LoadResult struct {
 
 // LoadGen drives the server's binary stream at maximum sustainable rate:
 // it dials the upgraded protocol, pipelines Requests snapshot ingests
-// from the trace window under the adaptive window, and reports
+// from the trace window at the stream's fixed depth, and reports
 // decisions/sec plus the transport's delta and RTT statistics. This is
 // the load-generator mode behind cmd/served -drive and
 // BenchmarkServeThroughput.

@@ -10,11 +10,8 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
-
-	"figret/internal/wire"
 )
 
 // maxBodyBytes bounds request bodies (checkpoints for large fabrics are
@@ -43,14 +40,12 @@ const maxBodyBytes = 64 << 20
 // the server acknowledges immediately and bursts coalesce into one
 // decision on the newest window.
 //
-// Next to the JSON surface the server speaks the compact binary wire
-// protocol (internal/wire) on the same listener, content-negotiated:
-// the snapshot and routing endpoints accept binary request bodies
-// (Content-Type wire.MediaType) and answer in kind (Accept
-// wire.MediaType), and GET /v1/wire upgrades the connection to the
+// Next to the JSON surface, which is the debug and management API, the
+// same listener speaks the compact binary wire protocol
+// (internal/wire): GET /v1/wire upgrades the connection to the
 // persistent pipelined stream with delta-encoded decisions that
-// BinClient drives. The JSON API is byte-for-byte untouched — binary is
-// a purely additive fast path.
+// BinClient drives. That stream is the one binary data plane; the JSON
+// API is byte-for-byte untouched by it.
 type Server struct {
 	reg *Registry
 	mux *http.ServeMux
@@ -284,20 +279,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if tel := s.telemetry(); tel != nil {
-		name := transportJSON
-		if isWireRequest(r) || wantsWire(r) {
-			name = transportBinHTTP
-		}
 		defer func(start time.Time) {
-			tel.transport(name).observe(time.Since(start))
+			tel.transport(transportJSON).observe(time.Since(start))
 		}(time.Now())
 	}
 	var req SnapshotRequest
-	if isWireRequest(r) {
-		if !readWireSnapshot(w, r, &req) {
-			return
-		}
-	} else if !readJSON(w, r, &req) {
+	if !readJSON(w, r, &req) {
 		return
 	}
 	res, err := c.Ingest(req.Demand, !req.Async)
@@ -312,15 +299,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Decision == nil {
-		if wantsWire(r) {
-			writeWireDecision(w, http.StatusOK, &wire.Decision{Snapshot: res.Snapshot, Warming: true})
-			return
-		}
 		writeJSON(w, http.StatusOK, RoutingResponse{Topology: c.Topology(), Snapshot: res.Snapshot, Warming: true})
-		return
-	}
-	if wantsWire(r) {
-		writeWireDecision(w, http.StatusOK, wireDecision(res.Decision))
 		return
 	}
 	writeJSON(w, http.StatusOK, routingResponse(c.Topology(), res.Decision, true))
@@ -329,10 +308,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRouting(w http.ResponseWriter, r *http.Request) {
 	c := s.controllerOr404(w, r)
 	if c == nil {
-		return
-	}
-	if wantsWire(r) {
-		writeWireDecision(w, http.StatusOK, wireDecision(c.Decision()))
 		return
 	}
 	writeJSON(w, http.StatusOK, routingResponse(c.Topology(), c.Decision(), true))
@@ -428,25 +403,14 @@ func putBodyBuf(buf *bytes.Buffer) {
 	}
 }
 
-// readBody reads a bounded request body into a pooled buffer (callers
-// must return it with putBodyBuf).
-func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+// readJSON decodes a bounded request body, read into a pooled buffer.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	buf := bodyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		putBodyBuf(buf)
-		return nil, err
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
 	}
-	return buf, nil
-}
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	buf, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return false
-	}
-	err = json.Unmarshal(buf.Bytes(), v)
 	putBodyBuf(buf)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -467,43 +431,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	w.Write(buf.Bytes())
 	putBodyBuf(buf)
-}
-
-// isWireRequest reports a binary-framed request body.
-func isWireRequest(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.MediaType)
-}
-
-// wantsWire reports that the client negotiated a binary response.
-func wantsWire(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), wire.MediaType)
-}
-
-// readWireSnapshot decodes a binary snapshot-ingest body into req.
-func readWireSnapshot(w http.ResponseWriter, r *http.Request, req *SnapshotRequest) bool {
-	buf, err := readBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return false
-	}
-	defer putBodyBuf(buf)
-	t, payload, err := wire.DecodeFrame(buf.Bytes())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return false
-	}
-	if t != wire.TSnapshot {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("expected %s frame, got %s", wire.TSnapshot, t))
-		return false
-	}
-	var m wire.Snapshot
-	if err := wire.DecodeSnapshot(payload, &m); err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return false
-	}
-	req.Demand = m.Demand
-	req.Async = m.Async
-	return true
 }
 
 func httpError(w http.ResponseWriter, status int, msg string) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -272,6 +273,40 @@ func TestHotSwapMidStream(t *testing.T) {
 	// The oracle actually backed the shadow evaluation.
 	if hits, misses := oracle.Stats(); hits+misses == 0 {
 		t.Fatal("shadow evaluation never consulted the oracle")
+	}
+}
+
+// TestUploadRejectsMismatchedHistory: a checkpoint whose cfg.H disagrees
+// with its network's input width is refused with 422 at upload, and the
+// controller keeps deciding with the active version instead of
+// panicking on the next snapshot.
+func TestUploadRejectsMismatchedHistory(t *testing.T) {
+	ps, tr, m := fixture(t, 60, 1)
+	client, _, _ := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16})
+	good, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.UploadCheckpoint("pod", good); err != nil {
+		t.Fatal(err)
+	}
+	bad := *m
+	bad.Cfg.H++
+	data, err := bad.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.UploadCheckpoint("pod", data); err == nil || !strings.Contains(err.Error(), "status 422") {
+		t.Fatalf("tampered-H checkpoint upload: %v", err)
+	}
+	var rr *RoutingResponse
+	for i := 0; i <= bad.Cfg.H; i++ {
+		if rr, err = client.PostSnapshot("pod", tr.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rr.Warming || rr.Version != 1 {
+		t.Fatalf("decision after rejected upload = %+v, want version 1", rr)
 	}
 }
 

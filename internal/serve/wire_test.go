@@ -51,52 +51,6 @@ func sameDecisionAt(t *testing.T, name string, a, b *RoutingResponse, checkAt bo
 	}
 }
 
-// TestWireHTTPNegotiation: the content-negotiated binary codec on the
-// plain HTTP endpoints returns responses bitwise identical to the JSON
-// surface.
-func TestWireHTTPNegotiation(t *testing.T) {
-	jsonClient, _ := wireFixture(t)
-	binClient := NewClient(jsonClient.BaseURL)
-	binClient.Binary = true
-
-	j, err := jsonClient.Routing("pod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := binClient.Routing("pod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDecision(t, "routing", j, b)
-
-	ps, tr, _ := fixture(t, 60, 1)
-	_ = ps
-	// Sync ingest over the binary codec: the served decision advances and
-	// comes back in wire form.
-	d, err := binClient.PostSnapshot("pod", tr.At(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Warming || d.Seq <= j.Seq || len(d.Ratios) == 0 {
-		t.Fatalf("binary ingest decision %+v", d)
-	}
-	// And the JSON surface sees exactly what the binary one produced.
-	j2, err := jsonClient.Routing("pod")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDecision(t, "after-binary-ingest", j2, d)
-
-	if err := binClient.PostSnapshotAsync("pod", tr.At(10)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Unknown topology errors stay JSON (and typed) on the binary path.
-	if _, err := binClient.Routing("nope"); err == nil || !strings.Contains(err.Error(), "404") {
-		t.Fatalf("unknown topo over binary: %v", err)
-	}
-}
-
 // TestWireStream exercises the upgraded persistent stream end to end:
 // hello validation, sync decisions, delta encoding on stable demand,
 // failure reports, async acks, and the routing query.
@@ -224,8 +178,10 @@ func TestWireStreamResync(t *testing.T) {
 	}
 }
 
-// TestWireStreamPipelined runs the adaptive-window Stream and checks
-// ordering, decision counts and the RTT/window bookkeeping.
+// TestWireStreamPipelined runs Stream and StreamAsync past two full
+// pipelines, so the sender's flush-before-wait on a full window runs,
+// and checks ordering, decision counts and the RTT/in-flight
+// bookkeeping.
 func TestWireStreamPipelined(t *testing.T) {
 	client, _ := wireFixture(t)
 	ps, tr, _ := fixture(t, 60, 1)
@@ -235,7 +191,7 @@ func TestWireStreamPipelined(t *testing.T) {
 	}
 	defer bin.Close()
 
-	const n = 64
+	const n = 2*streamDepth + 1
 	var seqs []int64
 	stats, err := bin.Stream(n,
 		func(i int) []float64 { return tr.At(i % tr.Len()) },
@@ -257,7 +213,7 @@ func TestWireStreamPipelined(t *testing.T) {
 	if stats.MeanRTTMicros <= 0 || stats.P99RTTMicros < stats.P50RTTMicros {
 		t.Fatalf("rtt stats %+v", stats)
 	}
-	if stats.MinWindow < 1 || stats.MaxWindow < stats.MinWindow || stats.FinalWindow < 1 {
+	if stats.MaxWindow < 1 || stats.MaxWindow > streamDepth || stats.CongestionEvents != 0 {
 		t.Fatalf("window stats %+v", stats)
 	}
 	if stats.BytesSent == 0 || stats.BytesReceived == 0 {
@@ -265,12 +221,15 @@ func TestWireStreamPipelined(t *testing.T) {
 	}
 
 	// Async streaming acks everything.
-	astats, err := bin.StreamAsync(16, func(i int) []float64 { return tr.At(i % tr.Len()) })
+	astats, err := bin.StreamAsync(n, func(i int) []float64 { return tr.At(i % tr.Len()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if astats.Acks != 16 || astats.Decisions != 0 {
+	if astats.Acks != n || astats.Decisions != 0 {
 		t.Fatalf("async stream stats %+v", astats)
+	}
+	if astats.MaxWindow < 1 || astats.MaxWindow > streamDepth || astats.CongestionEvents != 0 {
+		t.Fatalf("async window stats %+v", astats)
 	}
 }
 
@@ -297,66 +256,56 @@ func TestWireServerClose(t *testing.T) {
 	}
 }
 
-// TestWireReplayBitwise is the tentpole identity contract: a closed-loop
-// replay over the binary transports — the content-negotiated HTTP codec
-// and the upgraded delta-encoded stream — must produce decisions and
-// simulated per-interval results bitwise identical to the JSON replay of
-// the same trace against the same checkpoint. Only publication
-// timestamps (wall clock) may differ across runs.
+// TestWireReplayBitwise is the transport identity contract: a
+// closed-loop replay over the upgraded delta-encoded stream must produce
+// decisions and simulated per-interval results bitwise identical to the
+// JSON replay of the same trace against the same checkpoint. Only
+// publication timestamps (wall clock) may differ across runs.
 func TestWireReplayBitwise(t *testing.T) {
 	ps, tr, m := fixture(t, 60, 1)
-	run := func(mode string) *ReplayResult {
+	run := func(overWire bool) *ReplayResult {
 		t.Helper()
 		client, _, reg := startServer(t, "pod", ps, ControllerOptions{HistoryCap: 16})
 		if _, err := reg.Install("pod", m, "test"); err != nil {
 			t.Fatal(err)
 		}
-		opt := ReplayOptions{To: 30, Delay: 1}
-		switch mode {
-		case "binhttp":
-			client.Binary = true
-		case "wire":
-			opt.Wire = true
-		}
-		rr, err := Replay(client, "pod", ps, tr, opt)
+		rr, err := Replay(client, "pod", ps, tr, ReplayOptions{To: 30, Delay: 1, Wire: overWire})
 		if err != nil {
-			t.Fatalf("%s replay: %v", mode, err)
+			t.Fatalf("replay (wire=%v): %v", overWire, err)
 		}
 		return rr
 	}
 
-	base := run("json")
+	base := run(false)
 	if len(base.Decisions) != 30 {
 		t.Fatalf("json replay produced %d decisions", len(base.Decisions))
 	}
-	for _, mode := range []string{"binhttp", "wire"} {
-		rr := run(mode)
-		if len(rr.Decisions) != len(base.Decisions) {
-			t.Fatalf("%s: %d decisions, json %d", mode, len(rr.Decisions), len(base.Decisions))
+	rr := run(true)
+	if len(rr.Decisions) != len(base.Decisions) {
+		t.Fatalf("wire: %d decisions, json %d", len(rr.Decisions), len(base.Decisions))
+	}
+	for i := range base.Decisions {
+		sameDecisionAt(t, "wire", base.Decisions[i], rr.Decisions[i], false)
+	}
+	if len(rr.PerInterval) != len(base.PerInterval) {
+		t.Fatalf("wire: %d intervals, json %d", len(rr.PerInterval), len(base.PerInterval))
+	}
+	for i := range base.PerInterval {
+		if math.Float64bits(rr.PerInterval[i].MLU) != math.Float64bits(base.PerInterval[i].MLU) ||
+			math.Float64bits(rr.PerInterval[i].LossRate) != math.Float64bits(base.PerInterval[i].LossRate) {
+			t.Fatalf("wire interval %d: MLU %v/%v loss %v/%v", i,
+				rr.PerInterval[i].MLU, base.PerInterval[i].MLU,
+				rr.PerInterval[i].LossRate, base.PerInterval[i].LossRate)
 		}
-		for i := range base.Decisions {
-			sameDecisionAt(t, mode, base.Decisions[i], rr.Decisions[i], false)
-		}
-		if len(rr.PerInterval) != len(base.PerInterval) {
-			t.Fatalf("%s: %d intervals, json %d", mode, len(rr.PerInterval), len(base.PerInterval))
-		}
-		for i := range base.PerInterval {
-			if math.Float64bits(rr.PerInterval[i].MLU) != math.Float64bits(base.PerInterval[i].MLU) ||
-				math.Float64bits(rr.PerInterval[i].LossRate) != math.Float64bits(base.PerInterval[i].LossRate) {
-				t.Fatalf("%s interval %d: MLU %v/%v loss %v/%v", mode, i,
-					rr.PerInterval[i].MLU, base.PerInterval[i].MLU,
-					rr.PerInterval[i].LossRate, base.PerInterval[i].LossRate)
-			}
-		}
-		if math.Float64bits(rr.MeanMLU) != math.Float64bits(base.MeanMLU) ||
-			math.Float64bits(rr.PeakMLU) != math.Float64bits(base.PeakMLU) ||
-			math.Float64bits(rr.MeanLoss) != math.Float64bits(base.MeanLoss) {
-			t.Fatalf("%s summary (%v %v %v) != json (%v %v %v)", mode,
-				rr.MeanMLU, rr.PeakMLU, rr.MeanLoss, base.MeanMLU, base.PeakMLU, base.MeanLoss)
-		}
-		if len(rr.Versions) != len(base.Versions) || rr.Versions[0] != base.Versions[0] {
-			t.Fatalf("%s versions %v != %v", mode, rr.Versions, base.Versions)
-		}
+	}
+	if math.Float64bits(rr.MeanMLU) != math.Float64bits(base.MeanMLU) ||
+		math.Float64bits(rr.PeakMLU) != math.Float64bits(base.PeakMLU) ||
+		math.Float64bits(rr.MeanLoss) != math.Float64bits(base.MeanLoss) {
+		t.Fatalf("wire summary (%v %v %v) != json (%v %v %v)",
+			rr.MeanMLU, rr.PeakMLU, rr.MeanLoss, base.MeanMLU, base.PeakMLU, base.MeanLoss)
+	}
+	if len(rr.Versions) != len(base.Versions) || rr.Versions[0] != base.Versions[0] {
+		t.Fatalf("wire versions %v != %v", rr.Versions, base.Versions)
 	}
 }
 

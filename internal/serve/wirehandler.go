@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"figret/internal/wire"
@@ -282,34 +281,5 @@ func ingestErrCode(err error) int {
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
-	}
-}
-
-// wireEncPool recycles encoders for the content-negotiated HTTP binary
-// endpoints (per-request borrow; across keep-alive connections this is
-// per-connection buffer reuse without per-conn bookkeeping).
-var wireEncPool = sync.Pool{New: func() any { return new(wire.Encoder) }}
-
-// writeWireDecision writes a full binary decision frame as an HTTP
-// response body. The stateless HTTP surface never delta-encodes —
-// deltas need the per-connection base only the upgraded stream has.
-func writeWireDecision(w http.ResponseWriter, status int, m *wire.Decision) {
-	e := wireEncPool.Get().(*wire.Encoder)
-	frame := e.Decision(m)
-	w.Header().Set("Content-Type", wire.MediaType)
-	w.WriteHeader(status)
-	w.Write(frame)
-	wireEncPool.Put(e)
-}
-
-func wireDecision(d *Decision) *wire.Decision {
-	return &wire.Decision{
-		Seq:          d.Seq,
-		Snapshot:     d.Snapshot,
-		Version:      d.Version,
-		Rerouted:     d.Rerouted,
-		ChurnLimited: d.ChurnLimited,
-		AtUnixNanos:  d.At.UnixNano(),
-		Ratios:       d.Config.R,
 	}
 }

@@ -6,11 +6,9 @@
 // errors instead of panicking on any corrupt, truncated or
 // foreign-format input).
 //
-// The JSON API stays the compatibility surface; wire is the
-// incrementally-deployable fast path next to it. Frames travel either
-// as content-negotiated HTTP bodies (Content-Type / Accept
-// wire.MediaType) or over a persistent upgraded stream
-// (Upgrade: figret-wire) that supports request pipelining and
+// The JSON API stays the debug and compatibility surface; wire is the
+// fast path next to it. Frames travel over one persistent upgraded
+// stream (Upgrade: figret-wire) that supports request pipelining and
 // delta-encoded decisions.
 //
 // # Frame layout
@@ -46,9 +44,6 @@ import (
 const (
 	// Version tags every frame; decoders reject anything else.
 	Version = 1
-	// MediaType is the content-negotiation token for binary frames over
-	// HTTP (Content-Type on requests, Accept on responses).
-	MediaType = "application/x-figret-wire"
 	// UpgradeProtocol is the HTTP Upgrade token for the persistent
 	// pipelined stream.
 	UpgradeProtocol = "figret-wire"
